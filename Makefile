@@ -40,7 +40,7 @@ bench:
 # Packages whose benchmarks feed the failing CI regression gate, and the
 # exact sampling CI uses: 10 iterations gives the Mann-Whitney test enough
 # samples to reach p < 0.05 (a single-iteration baseline never can).
-BENCH_GATE_PKGS = ./internal/conflict/ ./internal/mis/ ./internal/assign/ ./internal/tree/ ./internal/serve/ ./internal/delta/
+BENCH_GATE_PKGS = ./internal/conflict/ ./internal/mis/ ./internal/assign/ ./internal/tree/ ./internal/serve/ ./internal/delta/ ./internal/search/ ./internal/preprocess/
 BENCH_GATE_ARGS = -run '^$$' -bench . -count=10 -benchtime=100ms -benchmem
 
 # Regenerate BENCH_baseline.txt exactly the way CI consumes it: the full

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -88,12 +89,22 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// parseBuildSpec validates the request body into a runnable spec. Errors are
+// maxBuildBody bounds the request body: a paper-scale dataset B instance
+// inlines to about 1.6 MB, so 32 MiB admits instances twenty times larger.
+const maxBuildBody = 32 << 20
+
+// parseBuildSpec validates the request body into a runnable spec. An empty
+// body builds the server's -in instance with its defaults. Errors are
 // *httpError with the right client status.
-func (s *server) parseBuildSpec(r *http.Request) (buildSpec, error) {
+func (s *server) parseBuildSpec(w http.ResponseWriter, r *http.Request) (buildSpec, error) {
 	var req buildRequest
 	if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err.Error() != "EOF" {
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBuildBody)).Decode(&req)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			return buildSpec{}, &httpError{http.StatusRequestEntityTooLarge, "octserve: bad request body: " + err.Error()}
+		case err != nil && !errors.Is(err, io.EOF):
 			return buildSpec{}, &httpError{http.StatusBadRequest, "octserve: bad request body: " + err.Error()}
 		}
 	}
@@ -240,7 +251,7 @@ func (s *server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "octserve: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	spec, err := s.parseBuildSpec(r)
+	spec, err := s.parseBuildSpec(w, r)
 	if err != nil {
 		var he *httpError
 		if errors.As(err, &he) {

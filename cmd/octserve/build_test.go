@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -100,6 +101,38 @@ func TestBuildEndpointValidation(t *testing.T) {
 	if rec := postBuild(t, noInst, "{}"); rec.Code != 400 {
 		t.Fatalf("no instance: status %d", rec.Code)
 	}
+}
+
+// TestBuildEndpointBodyBounds covers the body edge cases: an empty body
+// builds the -in instance with the defaults, and a body past maxBuildBody is
+// refused with 413.
+func TestBuildEndpointBodyBounds(t *testing.T) {
+	s := testServer(t)
+	if resp := decodeBuild(t, postBuild(t, s, "")); resp.Algorithm != "ctcr" || resp.Sets != 2 {
+		t.Fatalf("empty body: resp = %+v", resp)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/build", nil))
+	if resp := decodeBuild(t, rec); resp.Sets != 2 {
+		t.Fatalf("no body: resp = %+v", resp)
+	}
+
+	body := io.MultiReader(strings.NewReader(`{"algorithm":"`), io.LimitReader(repeatByte('a'), maxBuildBody))
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/build", body))
+	if rec.Code != 413 {
+		t.Fatalf("oversized body: status %d, want 413: %s", rec.Code, rec.Body)
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // TestBuildEndpointClusterStrategy covers the /build cluster_strategy knob:

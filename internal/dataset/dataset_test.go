@@ -3,6 +3,7 @@ package dataset
 import (
 	"testing"
 
+	"categorytree/internal/oct"
 	"categorytree/internal/sim"
 )
 
@@ -77,12 +78,37 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Instance.N() != b.Instance.N() {
-		t.Fatal("generation not deterministic")
+	requireSameInstance(t, a.Instance, b.Instance)
+}
+
+// TestRawInstanceDeterministic preprocesses one raw D×0.01 dataset twice:
+// the search index, its scores and the merge must give the same instance.
+func TestRawInstanceDeterministic(t *testing.T) {
+	raw, err := GenerateRaw(D.Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a.Instance.Sets {
-		if !a.Instance.Sets[i].Items.Equal(b.Instance.Sets[i].Items) {
-			t.Fatal("instance sets differ between runs")
+	a, sa := raw.Instance(sim.ThresholdJaccard, 0.8)
+	b, sb := raw.Instance(sim.ThresholdJaccard, 0.8)
+	if sa != sb {
+		t.Fatalf("stats differ between runs: %+v vs %+v", sa, sb)
+	}
+	requireSameInstance(t, a, b)
+}
+
+func requireSameInstance(t *testing.T, a, b *oct.Instance) {
+	t.Helper()
+	if a.N() != b.N() || a.Universe != b.Universe {
+		t.Fatalf("instances differ in shape: %d sets over %d items vs %d over %d", a.N(), a.Universe, b.N(), b.Universe)
+	}
+	for i := range a.Sets {
+		x, y := a.Sets[i], b.Sets[i]
+		if !x.Items.Equal(y.Items) {
+			t.Fatalf("set %d: items differ between runs", i)
+		}
+		if x.Weight != y.Weight || x.Label != y.Label || x.Delta != y.Delta || x.Source != y.Source {
+			t.Fatalf("set %d differs between runs: weight %v/%v, label %q/%q, delta %v/%v, source %q/%q",
+				i, x.Weight, y.Weight, x.Label, y.Label, x.Delta, y.Delta, x.Source, y.Source)
 		}
 	}
 }

@@ -11,8 +11,10 @@
 package search
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"categorytree/internal/text"
 )
@@ -26,12 +28,23 @@ type Hit struct {
 	Score float64
 }
 
-// Index is an inverted index over documents.
+// Index is an inverted index over documents. After Build it is read-only
+// apart from its scratch pool, so Search is safe for concurrent use.
 type Index struct {
 	postings map[string][]posting
 	docLen   []float64 // L2 norm of each document's TF-IDF vector
 	numDocs  int
 	built    bool
+	scratch  sync.Pool // *accumulator, reused across Search calls
+}
+
+// accumulator is one Search call's scratch space: a dense score per
+// document, the documents touched so far, and the hits that pass the
+// threshold. Every score is back to zero whenever it sits in the pool.
+type accumulator struct {
+	score   []float64
+	touched []int32
+	kept    []Hit
 }
 
 type posting struct {
@@ -62,11 +75,19 @@ func (ix *Index) Add(doc int32, content string) {
 	}
 }
 
-// Build finalizes the index: computes IDF weights and document norms.
+// Build finalizes the index: computes IDF weights and document norms. Each
+// norm sums its terms in sorted order, so equal catalogs give bit-identical
+// indexes.
 func (ix *Index) Build() {
+	toks := make([]string, 0, len(ix.postings))
+	for tok := range ix.postings {
+		toks = append(toks, tok)
+	}
+	slices.Sort(toks)
 	ix.docLen = make([]float64, ix.numDocs)
-	for tok, ps := range ix.postings {
-		idf := ix.idf(tok)
+	for _, tok := range toks {
+		ps := ix.postings[tok]
+		idf := ix.idf(len(ps))
 		for _, p := range ps {
 			w := p.tf * idf
 			ix.docLen[p.doc] += w * w
@@ -78,11 +99,8 @@ func (ix *Index) Build() {
 	ix.built = true
 }
 
-func (ix *Index) idf(tok string) float64 {
-	df := len(ix.postings[tok])
-	if df == 0 {
-		return 0
-	}
+// idf weighs a term by its document frequency df > 0.
+func (ix *Index) idf(df int) float64 {
 	return math.Log(1 + float64(ix.numDocs)/float64(df))
 }
 
@@ -91,62 +109,84 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 
 // Search scores documents against the query by TF-IDF cosine similarity,
 // normalizes scores so the best hit gets 1, drops hits below minScore, and
-// returns at most limit hits (0 = unlimited), best first.
+// returns at most limit hits (0 = unlimited), best first with ties broken by
+// ascending doc. The result is a pure function of the query: each
+// document's score is summed over the query terms in sorted order, so equal
+// inputs give bit-identical scores on every call.
 func (ix *Index) Search(query string, minScore float64, limit int) []Hit {
 	if !ix.built {
 		panic("search: Search before Build")
 	}
-	qCounts := make(map[string]int)
-	for _, tok := range text.Tokenize(query) {
-		qCounts[tok]++
-	}
-	if len(qCounts) == 0 {
+	toks := text.Tokenize(query)
+	if len(toks) == 0 {
 		return nil
 	}
+	slices.Sort(toks)
+	acc, _ := ix.scratch.Get().(*accumulator)
+	if acc == nil {
+		acc = &accumulator{score: make([]float64, ix.numDocs)}
+	}
+	defer ix.scratch.Put(acc)
+
+	// Each run of equal tokens is one query term; its length is the term
+	// count. Every contribution is positive, so a zero score marks a
+	// document not yet touched.
 	qNorm := 0.0
-	scores := make(map[int32]float64)
-	for tok, c := range qCounts {
-		idf := ix.idf(tok)
-		if idf == 0 {
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
+		}
+		ps := ix.postings[toks[i]]
+		c := j - i
+		i = j
+		if len(ps) == 0 {
 			continue
 		}
+		idf := ix.idf(len(ps))
 		qw := (1 + math.Log(float64(c))) * idf
 		qNorm += qw * qw
-		for _, p := range ix.postings[tok] {
-			scores[p.doc] += qw * p.tf * idf
+		for _, p := range ps {
+			if acc.score[p.doc] == 0 {
+				acc.touched = append(acc.touched, p.doc)
+			}
+			acc.score[p.doc] += qw * p.tf * idf
 		}
 	}
-	if len(scores) == 0 {
+	if len(acc.touched) == 0 {
 		return nil
 	}
 	qn := math.Sqrt(qNorm)
-	hits := make([]Hit, 0, len(scores))
 	best := 0.0
-	for doc, s := range scores {
-		cos := s / (qn * ix.docLen[doc])
-		if cos > best {
+	for _, doc := range acc.touched {
+		if cos := acc.score[doc] / (qn * ix.docLen[doc]); cos > best {
 			best = cos
 		}
-		hits = append(hits, Hit{Doc: doc, Score: cos})
 	}
-	// Normalize to [0, 1] per query: platforms report relative relevance.
-	for i := range hits {
-		hits[i].Score /= best
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	// Normalize to [0, 1] per query (platforms report relative relevance)
+	// and filter before sorting; this pass also zeroes the scores for the
+	// next call.
+	kept := acc.kept[:0]
+	for _, doc := range acc.touched {
+		s := acc.score[doc] / (qn * ix.docLen[doc]) / best
+		acc.score[doc] = 0
+		if s >= minScore {
+			kept = append(kept, Hit{Doc: doc, Score: s})
 		}
-		return hits[i].Doc < hits[j].Doc
+	}
+	acc.touched = acc.touched[:0]
+	slices.SortFunc(kept, func(a, b Hit) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return cmp.Compare(a.Doc, b.Doc)
 	})
-	out := hits[:0]
-	for _, h := range hits {
-		if h.Score >= minScore {
-			out = append(out, h)
-		}
+	acc.kept = kept
+	if limit > 0 && len(kept) > limit {
+		kept = kept[:limit]
 	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return append([]Hit{}, kept...)
 }
